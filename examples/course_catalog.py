@@ -63,8 +63,10 @@ def main() -> None:
     player = MediaPlayer(network, "dana")
     player.connect(catalog.url_of("CS520", second))
     player.play(burst_factor=4.0)
-    while player.state is not PlayerState.PLAYING:
-        network.simulator.step()
+    network.simulator.run_while(
+        lambda: player.state is not PlayerState.PLAYING,
+        deadline=network.simulator.now + 30.0,
+    )
     network.simulator.run_until(network.simulator.now + 12.0)
     player.stop()
     progress.record_session("CS520", second, player.report())

@@ -108,8 +108,10 @@ def main() -> None:
     player = MediaPlayer(network, "lan-student")
     player.connect(url)
     player.play()
-    while player.state is not PlayerState.PLAYING:
-        network.simulator.step()
+    network.simulator.run_while(
+        lambda: player.state is not PlayerState.PLAYING,
+        deadline=network.simulator.now + 30.0,
+    )
     network.simulator.run_until(network.simulator.now + 2.0)
     player.seek(45.0)  # jump to "extended-net"
     report = player.run_until_finished()

@@ -194,27 +194,30 @@ def apply_to_stream(
     player.play()
     simulator = network.simulator
     # wait for playback to actually start
-    while player.state is not PlayerState.PLAYING:
-        if simulator.peek_time() is None:
-            raise PlayerError("stream never started")
-        simulator.step()
+    if not simulator.run_while(
+        lambda: player.state is not PlayerState.PLAYING,
+        deadline=simulator.now + timeout,
+    ):
+        raise PlayerError("stream never started")
     origin = simulator.now
     applied = rejected = 0
     for action in script.actions:
         target = origin + action.at
-        while simulator.now < target and player.state is not PlayerState.FINISHED:
-            if simulator.peek_time() is None or simulator.peek_time() > target:
-                simulator.run_until(target)
-                break
-            simulator.step()
+        if not simulator.run_while(
+            lambda: simulator.now < target
+            and player.state is not PlayerState.FINISHED,
+            deadline=target,
+        ):
+            simulator.run_until(target)
         if player.state is PlayerState.FINISHED:
             break
         # a user acts when the UI is responsive: let transient buffering
         # (e.g. right after a seek) drain before applying the action
-        while player.state is PlayerState.BUFFERING:
-            if simulator.peek_time() is None:
-                break
-            simulator.step()
+        if not simulator.run_while(
+            lambda: player.state is PlayerState.BUFFERING,
+            deadline=simulator.now + timeout,
+        ):
+            raise PlayerError("stream stalled while buffering")
         if player.state is PlayerState.FINISHED:
             break
         try:
@@ -229,12 +232,12 @@ def apply_to_stream(
             applied += 1
         except PlayerError:
             rejected += 1
-    deadline = simulator.now + timeout
-    while player.state is not PlayerState.FINISHED:
+
+    def unfinished() -> bool:
         if player.state is PlayerState.PAUSED:
             player.resume()
-        nxt = simulator.peek_time()
-        if nxt is None or nxt > deadline:
-            raise PlayerError("stream run did not finish")
-        simulator.step()
+        return player.state is not PlayerState.FINISHED
+
+    if not simulator.run_while(unfinished, deadline=simulator.now + timeout):
+        raise PlayerError("stream run did not finish")
     return StreamRunResult(player.report(), applied, rejected)

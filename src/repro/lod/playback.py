@@ -152,18 +152,21 @@ class LODPlayback:
         player.connect(self.url)
         first = self._schedule[wanted[0]][0]
         player.play(start=first)
-        simulator = self.network.simulator
+        # the replay plays at most the whole lecture and re-buffers one
+        # preroll per wanted segment (the start and each seek); twice that
+        # bounds it, so a server lost mid-replay cannot stall it forever
+        deadline = self.network.simulator.now + 2 * (
+            self.lecture.duration + len(wanted) * player.preroll
+        )
 
         played: List[str] = []
         cursor = 0
         # Drive playback: when the current wanted segment finishes, seek to
         # the next wanted segment (or stop).
-        while player.state is not PlayerState.FINISHED:
-            if simulator.peek_time() is None:
-                raise LectureError("simulation drained before playback finished")
-            simulator.step()
+        def replaying() -> bool:
+            nonlocal cursor
             if player.state is not PlayerState.PLAYING:
-                continue
+                return player.state is not PlayerState.FINISHED
             position = player.position
             name = wanted[cursor]
             start, end = self._schedule[name]
@@ -173,10 +176,14 @@ class LODPlayback:
                 cursor += 1
                 if cursor >= len(wanted):
                     player.stop()
-                    break
+                    return False
                 next_start = self._schedule[wanted[cursor]][0]
                 if next_start > position + 1e-9:
                     player.seek(next_start)
+            return player.state is not PlayerState.FINISHED
+
+        if not self.network.simulator.run_while(replaying, deadline=deadline):
+            raise LectureError(f"level replay stalled before t={deadline:.3f}")
         report = player.report()
         return LevelReplayReport(
             level=summary.level,

@@ -31,9 +31,6 @@ class MetricsCollector:
     def record(self, series: str, x: float, y: float) -> None:
         self._samples.setdefault(series, []).append((x, y))
 
-    def series_names(self) -> List[str]:
-        return list(self._samples)
-
     def series(self, name: str) -> List[Tuple[float, float]]:
         if name not in self._samples:
             raise StatsError(f"no series {name!r}")

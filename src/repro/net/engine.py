@@ -199,6 +199,23 @@ class Simulator:
             return True
         return False
 
+    def run_while(
+        self, busy: Callable[[], bool], *, deadline: float = math.inf
+    ) -> bool:
+        """Step events while ``busy()`` holds; the one blocking wait.
+
+        True once ``busy()`` is false; False when the queue runs dry or
+        the next event lies past ``deadline`` (it stays queued; one at
+        exactly ``deadline`` runs). Callable from inside an event: it
+        nests through :meth:`step` until handlers become continuations.
+        """
+        while busy():
+            nxt = self.peek_time()
+            if nxt is None or nxt > deadline:
+                return False
+            self.step()
+        return True
+
     def run_until(self, when: float, *, max_events: int = 1_000_000) -> None:
         """Process every event up to (and including) time ``when``.
 

@@ -109,9 +109,6 @@ class PlaybackReport:
     def slide_changes(self) -> List[FiredCommand]:
         return [c for c in self.commands if c.command.type == "SLIDE"]
 
-    def rendered_for_stream(self, stream_number: int) -> List[RenderedUnit]:
-        return [r for r in self.rendered if r.unit.stream_number == stream_number]
-
 
 class MediaPlayer:
     """A streaming client on one host of the virtual network."""
@@ -1142,14 +1139,13 @@ class MediaPlayer:
     def run_until_finished(self, *, timeout: float = 3_600.0) -> "PlaybackReport":
         """Advance the simulation until playback completes."""
         deadline = self.simulator.now + timeout
-        while self.state is not PlayerState.FINISHED:
-            nxt = self.simulator.peek_time()
-            if nxt is None or nxt > deadline:
-                raise PlayerError(
-                    f"playback did not finish before t={deadline} "
-                    f"(state {self.state.value})"
-                )
-            self.simulator.step()
+        if not self.simulator.run_while(
+            lambda: self.state is not PlayerState.FINISHED, deadline=deadline
+        ):
+            raise PlayerError(
+                f"playback did not finish before t={deadline} "
+                f"(state {self.state.value})"
+            )
         return self.report()
 
     def watch(self, url: str, **play_kwargs) -> "PlaybackReport":

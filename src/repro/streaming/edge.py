@@ -889,9 +889,6 @@ class EdgeRelay(MediaServer):
             )
         return response.body
 
-    def _control_upstream(self, action: str, **fields) -> Any:
-        return self._control_at(self.origin_url, action, **fields)
-
     def _open_upstream(
         self,
         url: str,
@@ -1068,17 +1065,12 @@ class EdgeRelay(MediaServer):
     def _ride_broadcast_attach(self, name: str) -> None:
         """Wait (re-entrant stepping) on another frame's in-flight
         broadcast attach instead of opening a duplicate upstream feed."""
-        simulator = self.simulator
-        deadline = simulator.now + self.fill_timeout
-        while (
-            name in self._pending_broadcasts
+        self.simulator.run_while(
+            lambda: name in self._pending_broadcasts
             and name not in self.points
-            and not self.crashed
-            and simulator.now < deadline
-        ):
-            if simulator.peek_time() is None:
-                break
-            simulator.step()
+            and not self.crashed,
+            deadline=self.simulator.now + self.fill_timeout,
+        )
         if name not in self.points:
             raise PublishError(f"broadcast attach of {name!r} failed")
 
@@ -1413,37 +1405,14 @@ class EdgeRelay(MediaServer):
             )
 
     def _await_fill(self, fill: _FillState, ref: _UpstreamRef) -> None:
-        """Drive the simulator until the current attempt completes or
-        gives up (driver side).
-
-        Re-entrant stepping, the same pattern HTTPClient.fetch uses. Lost
-        fill packets are recovered by periodic upstream NAK rounds — the
-        upstream repairs from its shared packet cache even after the
-        burst finished (FINISHED sessions still answer NAKs). A timeout
-        or a dry event queue fails only *this attempt*; the caller moves
-        to the next source in the plan.
-        """
-        simulator = self.simulator
-        deadline = simulator.now + self.fill_timeout
-        next_nak = simulator.now + self.fill_nak_interval
-        rounds = 0
-        while not fill.done and not fill.attempt_failed:
-            if self.crashed or simulator.now >= deadline:
-                fill.attempt_failed = True
-                break
-            nxt = simulator.peek_time()
-            if nxt is None or nxt > next_nak or simulator.now >= next_nak:
-                missing = fill.missing()
-                if missing and rounds < self.fill_nak_rounds:
-                    self._nak_upstream(ref, missing)
-                    rounds += 1
-                    next_nak = simulator.now + self.fill_nak_interval
-                    continue  # the NAK just scheduled wire events
-                if nxt is None or nxt > deadline:
-                    fill.attempt_failed = True
-                    break
-                next_nak = max(next_nak, simulator.now) + self.fill_nak_interval
-            simulator.step()
+        """Wait until the current attempt completes or gives up (driver
+        side). A timeout, a crash or a dry event queue fails only *this
+        attempt*; the caller moves to the next source in the plan."""
+        if not self._nak_wait(
+            fill, lambda: fill.done or fill.attempt_failed,
+            self.fill_timeout, ref,
+        ):
+            fill.attempt_failed = True
 
     def _ride_fill(self, fill: _FillState, name: str) -> None:
         """Wait on someone else's in-flight fill (re-entrant stepping).
@@ -1454,28 +1423,52 @@ class EdgeRelay(MediaServer):
         stack and cannot act until we return. The deadline is generous
         enough to span the driver walking its whole source plan.
         """
-        simulator = self.simulator
-        deadline = simulator.now + self.fill_timeout * (self.fill_hop_limit + 2)
-        next_nak = simulator.now + self.fill_nak_interval
-        rounds = 0
-        while not fill.done and not fill.exhausted:
-            if self.crashed or simulator.now >= deadline:
-                break
-            nxt = simulator.peek_time()
-            if nxt is None or nxt > next_nak or simulator.now >= next_nak:
-                missing = fill.missing()
-                if missing and rounds < self.fill_nak_rounds:
-                    self._nak_upstream(self._upstream.get(name), missing)
-                    rounds += 1
-                    next_nak = simulator.now + self.fill_nak_interval
-                    continue
-                if nxt is None or nxt > deadline:
-                    break
-                next_nak = max(next_nak, simulator.now) + self.fill_nak_interval
-            simulator.step()
+        self._nak_wait(
+            fill, lambda: fill.done or fill.exhausted,
+            self.fill_timeout * (self.fill_hop_limit + 2),
+        )
         if fill.done and name in self.points:
             return
         raise PublishError(f"edge fill of {name!r} failed")
+
+    def _nak_wait(
+        self,
+        fill: _FillState,
+        settled: Callable[[], bool],
+        timeout: float,
+        ref: Optional[_UpstreamRef] = None,
+    ) -> bool:
+        """Step the simulator until ``settled()``; False on a crash, the
+        deadline or a dry queue.
+
+        Re-entrant stepping, the same pattern HTTPClient.fetch uses. Lost
+        fill packets are recovered by upstream NAK rounds: once nothing is
+        left to run inside the current NAK interval, the missing sequences
+        go to ``ref`` (a rider asks the point's current upstream) and the
+        next interval starts. The upstream repairs from its shared packet
+        cache even after the burst finished (FINISHED sessions still
+        answer NAKs).
+        """
+        simulator = self.simulator
+        deadline = simulator.now + timeout
+
+        def waiting() -> bool:
+            return not settled() and not self.crashed
+
+        for _ in range(self.fill_nak_rounds):
+            nak_at = simulator.now + self.fill_nak_interval
+            if nak_at >= deadline:
+                break
+            simulator.run_while(
+                lambda: waiting() and simulator.now < nak_at, deadline=nak_at
+            )
+            if not waiting():
+                return settled()
+            self._nak_upstream(
+                ref or self._upstream.get(fill.point), fill.missing()
+            )
+        simulator.run_while(waiting, deadline=deadline)
+        return settled()
 
     # -- broadcast passthrough ------------------------------------------
 
@@ -1800,8 +1793,8 @@ class EdgeRelay(MediaServer):
                         "relocate": session.relocate,
                         "multiplicity": session.multiplicity,
                         "cursor": session.packet_cursor,
-                        "burst_factor": getattr(session, "_burst_factor", 1.0),
-                        "burst_window_ms": getattr(session, "_burst_window_ms", 0.0),
+                        "burst_factor": session.burst_factor,
+                        "burst_window_ms": session.burst_window_ms,
                     },
                 )
             except HTTPError:

@@ -435,8 +435,8 @@ class MediaServer:
         window = burst_seconds
         if window is None:
             window = point.header.file_properties.preroll_ms / 1000.0
-        session._burst_factor = burst_factor  # type: ignore[attr-defined]
-        session._burst_window_ms = window * 1000.0  # type: ignore[attr-defined]
+        session.burst_factor = burst_factor
+        session.burst_window_ms = window * 1000.0
         self._start_pacing(session)
 
     def adopt_session(
@@ -475,8 +475,8 @@ class MediaServer:
         session.packet_cursor = cursor
         if cursor < len(sched.packets):
             session.position = sched.packets[cursor].send_time_ms / 1000.0
-            session._burst_factor = burst_factor  # type: ignore[attr-defined]
-            session._burst_window_ms = burst_window_ms  # type: ignore[attr-defined]
+            session.burst_factor = burst_factor
+            session.burst_window_ms = burst_window_ms
             self._start_pacing(session)
         else:
             session.position = (
@@ -763,8 +763,8 @@ class MediaServer:
             return
         packet = asf.packets[session.packet_cursor]
         offset_ms = packet.send_time_ms - session._pace_base  # type: ignore[attr-defined]
-        burst = getattr(session, "_burst_factor", 1.0)
-        window = getattr(session, "_burst_window_ms", 0.0)
+        burst = session.burst_factor
+        window = session.burst_window_ms
         if burst > 1.0:
             if offset_ms <= window:
                 offset_ms = offset_ms / burst
@@ -793,8 +793,8 @@ class MediaServer:
         """Attach a session to the pacing group walking its point from the
         same cursor at this instant — creating the group if none exists."""
         sched = self._schedules[session.point]
-        burst = getattr(session, "_burst_factor", 1.0)
-        window = getattr(session, "_burst_window_ms", 0.0)
+        burst = session.burst_factor
+        window = session.burst_window_ms
         now = self.simulator.now
         key = (session.point, session.packet_cursor, now, burst, window)
         group = self._groups.get(key)

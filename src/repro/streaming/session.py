@@ -78,6 +78,10 @@ class StreamSession:
     #: accounting can report modeled audience without per-viewer sessions.
     #: Delivery and QoS stay 1× — one carrier stream feeds the cohort.
     multiplicity: int = 1
+    #: fast-start pacing: packets inside the first ``burst_window_ms`` of
+    #: the run go out ``burst_factor``× faster (1.0: real time)
+    burst_factor: float = 1.0
+    burst_window_ms: float = 0.0
     #: client-side relocation callback for warm hand-off: a draining edge
     #: invokes it with the successor's coordinates after the successor
     #: adopted this session (None: client falls back to the crash path)

@@ -18,7 +18,7 @@ from repro.lod import (
     random_script,
     replay_all_levels,
 )
-from repro.streaming import MediaPlayer, MediaServer
+from repro.streaming import MediaPlayer, MediaServer, PlayerError
 from repro.web import VirtualNetwork
 
 
@@ -82,6 +82,17 @@ class TestLODPlayback:
             playback.watch_level(tree, level=1, budget=10.0)
         with pytest.raises(LectureError):
             playback.watch_level(tree)
+
+    def test_watch_level_raises_at_deadline_when_server_dies(self, published):
+        net, lec, record, manager = published
+        net.simulator.schedule(5.0, manager.media_server.crash)
+        playback = LODPlayback(net, "student", lec, record.url)
+        tree = manager.content_tree_of("lec")
+        with pytest.raises(LectureError, match="stalled before"):
+            playback.watch_level(tree, level=1)
+        # two wanted segments: deadline = start + 2 * (40 s + 2 * 3 s preroll)
+        bound = 2 * (lec.duration + 2 * 3.0)
+        assert bound <= net.simulator.now < bound + 1.0
 
     def test_replay_all_levels_monotone_coverage(self, published):
         net, lec, record, manager = published
@@ -214,6 +225,20 @@ class TestInteractionScripts:
         result = apply_to_stream(net, player, record.url, script)
         assert result.applied == 3
         assert result.report.duration_watched == pytest.approx(40.0, abs=0.3)
+
+    def test_apply_to_stream_times_out_when_server_dies_in_preroll(
+        self, published
+    ):
+        net, lec, record, manager = published
+        net.simulator.schedule(0.2, manager.media_server.crash)
+        script = InteractionScript([ScriptedAction(2.0, "pause")])
+        started = net.simulator.now
+        with pytest.raises(PlayerError, match="never started"):
+            apply_to_stream(
+                net, MediaPlayer(net, "viewer"), record.url, script,
+                timeout=30.0,
+            )
+        assert net.simulator.now <= started + 31.0
 
     def test_apply_to_stream_rejects_skips(self, published):
         net, lec, record, _ = published

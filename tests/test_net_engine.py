@@ -112,6 +112,56 @@ class TestSimulator:
         assert len(sim._cancelled) == 1
 
 
+class TestRunWhile:
+    def test_returns_true_once_busy_goes_false(self):
+        sim = Simulator()
+        log = []
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule(t, lambda t=t: log.append(t))
+        assert sim.run_while(lambda: len(log) < 2) is True
+        assert log == [1.0, 2.0]
+        assert sim.now == 2.0
+
+    def test_returns_false_on_dry_queue(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        assert sim.run_while(lambda: True) is False
+        assert sim.now == 1.0
+        assert sim.events_processed == 1
+
+    def test_event_past_deadline_does_not_run(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(1.0, lambda: log.append("a"))
+        sim.schedule(5.0, lambda: log.append("b"))
+        assert sim.run_while(lambda: True, deadline=4.0) is False
+        assert log == ["a"]
+        assert sim.now == 1.0
+        assert sim.peek_time() == 5.0
+
+    def test_event_exactly_at_deadline_runs(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(2.0, lambda: log.append("edge"))
+        assert sim.run_while(lambda: not log, deadline=2.0) is True
+        assert log == ["edge"]
+
+    def test_nested_call_from_inside_a_callback(self):
+        sim = Simulator()
+        log = []
+
+        def blocking_handler():
+            sim.schedule(0.5, lambda: log.append("reply"))
+            assert sim.run_while(lambda: "reply" not in log, deadline=10.0)
+            log.append(("handler done", sim.now))
+
+        sim.schedule(1.0, blocking_handler)
+        sim.schedule(3.0, lambda: log.append("later"))
+        assert sim.run_while(lambda: "later" not in log) is True
+        assert log == ["reply", ("handler done", 1.5), "later"]
+        assert sim.events_processed == 3
+
+
 class TestScheduleBatch:
     def test_batch_runs_in_time_order(self):
         sim = Simulator()
