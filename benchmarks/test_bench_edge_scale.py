@@ -83,7 +83,7 @@ def serve_direct(asf):
         net.connect("origin", name, bandwidth=2_000_000, delay=0.02)
     origin = MediaServer(
         net, "origin", port=8080,
-        shared_pacing=True, pacing_quantum=QUANTUM,
+        pacing_quantum=QUANTUM,
     )
     origin.publish("lecture", asf)
 
@@ -122,7 +122,7 @@ def serve_edge(asf):
     net = VirtualNetwork()
     origin = MediaServer(
         net, "origin", port=8080,
-        shared_pacing=True, pacing_quantum=QUANTUM,
+        pacing_quantum=QUANTUM,
     )
     origin.publish("lecture", asf)
     directory, relays = build_edge_tier(

@@ -103,7 +103,7 @@ def serve_fanout(asf, clients, tracer=None):
             net.link(name, "server").tracer = tracer
     server = MediaServer(
         net, "server", port=8080,
-        shared_pacing=True, pacing_quantum=QUANTUM, tracer=tracer,
+        pacing_quantum=QUANTUM, tracer=tracer,
     )
     server.publish("lecture", asf)
     sinks = {name: [] for name in names}

@@ -87,7 +87,7 @@ def serve_flat(asf):
     net = VirtualNetwork()
     origin = MediaServer(
         net, "origin", port=8080,
-        shared_pacing=True, pacing_quantum=QUANTUM,
+        pacing_quantum=QUANTUM,
     )
     origin.publish("lecture", asf)
     directory, relays = build_edge_tier(
@@ -119,7 +119,7 @@ def serve_tree(asf, seed, reference):
     net.simulator.tracer = tracer
     origin = MediaServer(
         net, "origin", port=8080,
-        shared_pacing=True, pacing_quantum=QUANTUM,
+        pacing_quantum=QUANTUM,
         trace_label="origin", tracer=tracer,
     )
     origin.publish("lecture", asf)

@@ -2,8 +2,9 @@
 
 Measures the cost of fanning one lecture out to N concurrent viewers:
 
-* **legacy** (``shared_pacing=False``): every session runs its own packet
-  walk — one pacing event plus two link events per packet per session;
+* **legacy**: every session runs its own packet walk — one pacing event
+  plus two link events per packet per session. The server no longer has
+  that path; :func:`per_session_walk` replicates it here as the baseline;
 * **fast** (shared schedule + ``pacing_quantum``): sessions started
   together ride one pacing group, and packets within one quantum travel
   as a single train — simulator events collapse to one pacing event per
@@ -16,6 +17,7 @@ headline target: >= 5x fewer simulator events at 32 clients with
 byte-identical delivered packets.
 """
 
+import functools
 import json
 import os
 import time
@@ -87,6 +89,44 @@ def serve_to(asf, clients, **server_kwargs):
     return net.simulator.events_processed, wall, blobs
 
 
+def per_session_walk(asf, clients):
+    """The server before shared pacing: every session walks the file on its
+    own event chain, one pacing event and one wire message per packet.
+    Returns (events, wall_s, bytes) like :func:`serve_to`."""
+    net = VirtualNetwork()
+    simulator = net.simulator
+    packets = asf.packets
+    base_ms = packets[0].send_time_ms
+    sinks = {}
+
+    def send(channel, index):
+        packet = packets[index]
+        channel.send(Message(packet, packet.packet_size))
+        if index + 1 < len(packets):
+            simulator.schedule_at(
+                (packets[index + 1].send_time_ms - base_ms) / 1000.0,
+                functools.partial(send, channel, index + 1),
+            )
+
+    for i in range(clients):
+        name = f"c{i}"
+        net.connect("server", name, bandwidth=2_000_000, delay=0.02)
+        sink = sinks[name] = []
+        channel = DatagramChannel(
+            net.link("server", name),
+            lambda message, sink=sink: sink.append(message.payload),
+        )
+        simulator.schedule_at(0.0, functools.partial(send, channel, 0))
+    t0 = time.perf_counter()
+    simulator.run(max_events=5_000_000)
+    wall = time.perf_counter() - t0
+    blobs = {
+        name: b"".join(p.pack() for p in packets)
+        for name, packets in sinks.items()
+    }
+    return simulator.events_processed, wall, blobs
+
+
 class TestServingScale:
     def test_bench_fanout_event_reduction(self, benchmark):
         """Legacy per-session walks vs the shared-schedule fast path."""
@@ -96,11 +136,11 @@ class TestServingScale:
             rows = []
             identical = True
             for clients in client_counts():
-                legacy_events, legacy_wall, legacy_blobs = serve_to(
-                    asf, clients, shared_pacing=False
+                legacy_events, legacy_wall, legacy_blobs = per_session_walk(
+                    asf, clients
                 )
                 fast_events, fast_wall, fast_blobs = serve_to(
-                    asf, clients, shared_pacing=True, pacing_quantum=QUANTUM
+                    asf, clients, pacing_quantum=QUANTUM
                 )
                 identical = identical and fast_blobs == legacy_blobs
                 rows.append({

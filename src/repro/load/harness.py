@@ -49,6 +49,15 @@ from .workload import (
 #: preroll buffering and the close handshakes that trail the last render
 TAIL_SECONDS = 15.0
 
+#: bounded live history a relay tree serves late joiners; kept small — a
+#: flash crowd of real players each receiving a long catch-up train costs
+#: wall clock, not insight
+LIVE_HISTORY_SECONDS = 5.0
+
+#: every generated viewer's last-mile link
+CLIENT_BANDWIDTH = 2_000_000.0
+CLIENT_DELAY = 0.02
+
 
 def peak_rss_bytes() -> int:
     """Peak resident set size of this process, in bytes (Linux ru_maxrss
@@ -118,10 +127,6 @@ class LoadConfig:
     #: optional :class:`~repro.streaming.BackboneBudget` charged by every
     #: tree fill and live feed
     backbone_budget: Any = None
-    #: bounded live history served to late joiners (tree mode); kept
-    #: small by default — a flash crowd of real players each receiving
-    #: a long catch-up train costs wall clock, not insight
-    live_history_seconds: float = 5.0
     profile: str = "dsl-256k"
     slides: int = 2
     fps: int = 10
@@ -129,8 +134,6 @@ class LoadConfig:
     burst_factor: float = 1.0
     #: > 0 arms a skippable presence beacon per cohort at this interval
     heartbeat_interval: float = 0.0
-    client_bandwidth: float = 2_000_000.0
-    client_delay: float = 0.02
     #: cache warming before viewers arrive. Three shapes:
     #: ``True`` (legacy) — naively pre-fill *every* edge with *every*
     #: lecture during setup; ``False`` — cold start; a
@@ -148,7 +151,6 @@ class LoadConfig:
     #: :class:`ServingTier` (warm wave-2 measurements) without host
     #: collisions
     client_prefix: str = ""
-    collect_qoe: bool = True
     max_events: int = 50_000_000
     tracer: Any = None
     #: :class:`~repro.streaming.recovery.RecoveryConfig` for every player
@@ -291,7 +293,7 @@ def run_workload(
             cfg.tracer.bind_clock(sim)
         origin = MediaServer(
             net, "origin", port=8080,
-            shared_pacing=True, pacing_quantum=cfg.pacing_quantum,
+            pacing_quantum=cfg.pacing_quantum,
             tracer=cfg.tracer, trace_label="origin",
         )
         captures: Dict[str, Any] = {}
@@ -331,7 +333,7 @@ def run_workload(
                 pacing_quantum=cfg.pacing_quantum,
                 join_quantum=spec.join_quantum,
                 backbone_budget=cfg.backbone_budget,
-                live_history_seconds=cfg.live_history_seconds,
+                live_history_seconds=LIVE_HISTORY_SECONDS,
                 cache_bytes=cfg.cache_bytes,
                 cache_admission=cfg.cache_admission,
                 admission_seed=cfg.admission_seed,
@@ -524,7 +526,7 @@ def run_workload(
                                       PlayerState.PAUSED):
                 return  # playback already over; nothing to diverge from
             net.connect(relay_host, member.viewer,
-                        bandwidth=cfg.client_bandwidth, delay=cfg.client_delay)
+                        bandwidth=CLIENT_BANDWIDTH, delay=CLIENT_DELAY)
             cohort.split(member.viewer, user=member.viewer, seek_to=position)
         elif delegate.state in (PlayerState.PLAYING, PlayerState.PAUSED):
             delegate.seek(position)
@@ -535,7 +537,7 @@ def run_workload(
         targets = relays if cfg.recovery is not None else [placed_relay]
         for r in targets:
             net.connect(r.host, host,
-                        bandwidth=cfg.client_bandwidth, delay=cfg.client_delay)
+                        bandwidth=CLIENT_BANDWIDTH, delay=CLIENT_DELAY)
 
     client_directory = directory if cfg.recovery is not None else None
 
@@ -701,17 +703,15 @@ def run_workload(
         sim.run(max_events=cfg.max_events)
     wall = time.perf_counter() - t0
 
-    qoe_summary: Dict[str, Any] = {}
-    if cfg.collect_qoe:
-        aggregator = QoEAggregator()
-        for cohort in cohorts:
-            for qoe in cohort.qoes():
-                aggregator.add(qoe)
-        for player in players:
-            aggregator.add(
-                SessionQoE.from_report(player.report(), client=player.user)
-            )
-        qoe_summary = aggregator.summary()
+    aggregator = QoEAggregator()
+    for cohort in cohorts:
+        for qoe in cohort.qoes():
+            aggregator.add(qoe)
+    for player in players:
+        aggregator.add(
+            SessionQoE.from_report(player.report(), client=player.user)
+        )
+    qoe_summary = aggregator.summary()
 
     control_facts: Dict[str, Any] = {
         # per-run deltas, so a reused ServingTier's second wave reports

@@ -68,12 +68,22 @@ from ..net.transport import DatagramChannel, Message
 from ..web.http import HTTPClient, HTTPError, HTTPRequest, HTTPResponse, VirtualNetwork
 from .backbone import BackboneBudget, BudgetError
 from .recovery import NAK_WIRE_SIZE, NakRequest
-from .server import MediaServer, PublishError
+from .server import MediaServer, PublishError, thin_packet
 from .session import SessionError, SessionState, StreamSession
 
 
 class PlacementError(Exception):
     """No edge can admit the client (all down or at capacity)."""
+
+
+#: fill tuning shared by every relay: one fill attempt gives up after
+#: FILL_TIMEOUT simulated seconds; until then the packets still missing
+#: are NAKed upstream every FILL_NAK_INTERVAL, for at most FILL_NAK_ROUNDS
+#: rounds; a tree fill crosses at most FILL_HOP_LIMIT relays
+FILL_TIMEOUT = 30.0
+FILL_NAK_INTERVAL = 0.25
+FILL_NAK_ROUNDS = 8
+FILL_HOP_LIMIT = 3
 
 
 # ----------------------------------------------------------------------
@@ -776,29 +786,22 @@ class EdgeRelay(MediaServer):
         port: int = 8080,
         qos_enabled: bool = False,
         pacing_quantum: float = 0.0,
-        shared_pacing: bool = True,
         join_quantum: float = 0.0,
         fill_burst: float = 64.0,
-        fill_timeout: float = 30.0,
-        fill_nak_interval: float = 0.25,
-        fill_nak_rounds: int = 8,
         region: Optional[str] = None,
         parent_url: Optional[str] = None,
         is_parent: bool = False,
         backbone: Optional[BackboneBudget] = None,
-        fill_hop_limit: int = 3,
         live_history_seconds: float = 0.0,
         tracer=None,
     ) -> None:
         if join_quantum < 0:
             raise PublishError("join_quantum must be >= 0")
-        if fill_hop_limit < 1:
-            raise PublishError("fill_hop_limit must be >= 1")
         self.name = name or host
         super().__init__(
             network, host,
             port=port, qos_enabled=qos_enabled,
-            pacing_quantum=pacing_quantum, shared_pacing=shared_pacing,
+            pacing_quantum=pacing_quantum,
             tracer=tracer, trace_label=self.name,
         )
         self.origin_url = origin_url.rstrip("/")
@@ -808,14 +811,10 @@ class EdgeRelay(MediaServer):
         self.cache.clock = lambda: self.simulator.now
         self.join_quantum = join_quantum
         self.fill_burst = fill_burst
-        self.fill_timeout = fill_timeout
-        self.fill_nak_interval = fill_nak_interval
-        self.fill_nak_rounds = fill_nak_rounds
         self.region = region
         self.parent_url = parent_url.rstrip("/") if parent_url else None
         self.is_parent = is_parent
         self.backbone = backbone
-        self.fill_hop_limit = fill_hop_limit
         self.live_history_seconds = live_history_seconds
         #: sibling-aware fill sourcing; set via :meth:`attach_directory`
         self.directory: Optional[EdgeDirectory] = None
@@ -1069,7 +1068,7 @@ class EdgeRelay(MediaServer):
             lambda: name in self._pending_broadcasts
             and name not in self.points
             and not self.crashed,
-            deadline=self.simulator.now + self.fill_timeout,
+            deadline=self.simulator.now + FILL_TIMEOUT,
         )
         if name not in self.points:
             raise PublishError(f"broadcast attach of {name!r} failed")
@@ -1127,7 +1126,7 @@ class EdgeRelay(MediaServer):
     def _begin_fill(self, name: str, token: Optional[FillToken]) -> None:
         out_token = (
             token.descend(self.name) if token is not None
-            else FillToken((self.name,), self.fill_hop_limit)
+            else FillToken((self.name,), FILL_HOP_LIMIT)
         )
         # always describe the origin first: the authoritative manifest
         # (cache key, sequence list) is what gates stale replicas out of
@@ -1410,7 +1409,7 @@ class EdgeRelay(MediaServer):
         attempt*; the caller moves to the next source in the plan."""
         if not self._nak_wait(
             fill, lambda: fill.done or fill.attempt_failed,
-            self.fill_timeout, ref,
+            FILL_TIMEOUT, ref,
         ):
             fill.attempt_failed = True
 
@@ -1425,7 +1424,7 @@ class EdgeRelay(MediaServer):
         """
         self._nak_wait(
             fill, lambda: fill.done or fill.exhausted,
-            self.fill_timeout * (self.fill_hop_limit + 2),
+            FILL_TIMEOUT * (FILL_HOP_LIMIT + 2),
         )
         if fill.done and name in self.points:
             return
@@ -1455,8 +1454,8 @@ class EdgeRelay(MediaServer):
         def waiting() -> bool:
             return not settled() and not self.crashed
 
-        for _ in range(self.fill_nak_rounds):
-            nak_at = simulator.now + self.fill_nak_interval
+        for _ in range(FILL_NAK_ROUNDS):
+            nak_at = simulator.now + FILL_NAK_INTERVAL
             if nak_at >= deadline:
                 break
             simulator.run_while(
@@ -1492,7 +1491,7 @@ class EdgeRelay(MediaServer):
         upstream_url = self._current_parent_url() or self.origin_url
         out_token = (
             token.descend(self.name) if token is not None
-            else FillToken((self.name,), self.fill_hop_limit)
+            else FillToken((self.name,), FILL_HOP_LIMIT)
         )
         upstream_host = urlparse(upstream_url).hostname
         rid: Optional[str] = None
@@ -1602,7 +1601,7 @@ class EdgeRelay(MediaServer):
         packets: List[DataPacket] = []
         wire_size = 0
         for packet in tail:
-            entry = self._thin_for(session, packet)
+            entry = thin_packet(packet, session.excluded_streams)
             if entry is not None:
                 packets.append(entry[0])
                 wire_size += entry[1]
@@ -1927,7 +1926,7 @@ class EdgeRelay(MediaServer):
             except BudgetError:
                 self.cache.counters.inc("feed_migration_budget_refused")
                 return False
-        token = FillToken((self.name,), self.fill_hop_limit)
+        token = FillToken((self.name,), FILL_HOP_LIMIT)
         try:
             ref = self._open_upstream(
                 new_url, point,
@@ -2017,61 +2016,35 @@ class EdgeRelay(MediaServer):
         burst_factor: float = 1.0,
         burst_seconds: Optional[float] = None,
     ) -> None:
-        """Start delivery, deferred to the next ``join_quantum`` boundary.
-
-        Clients arriving within one quantum land on the *same* boundary
-        with the same cursor and burst parameters, so they share one
-        pacing group — the edge-side half of request coalescing. With
-        ``join_quantum == 0`` behaviour is exactly the base class's.
-        Broadcast joins start immediately; a late joiner additionally
-        receives the bounded live history as a catch-up train.
-        """
+        """Start delivery; a broadcast late joiner additionally receives
+        the bounded live history as a catch-up train."""
+        super().play(
+            session_id, start=start, burst_factor=burst_factor,
+            burst_seconds=burst_seconds,
+        )
         session = self.sessions.get(session_id)
         if session.broadcast:
-            super().play(
-                session_id, start=start, burst_factor=burst_factor,
-                burst_seconds=burst_seconds,
-            )
             # replica sessions get catch-up too: that is how a late-
             # attaching child edge pulls its parent's history down the
             # tree before the live fan-out takes over
             self._serve_live_history(session)
-            return
-        if self.join_quantum <= 0.0:
-            super().play(
-                session_id, start=start, burst_factor=burst_factor,
-                burst_seconds=burst_seconds,
-            )
-            return
+
+    def _play_join_time(self) -> Optional[float]:
+        """The next ``join_quantum`` boundary, or None (join at once) on
+        a boundary or with ``join_quantum == 0``.
+
+        Clients arriving within one quantum land on the *same* boundary
+        with the same cursor and burst parameters, so they share one
+        pacing group — the edge-side half of request coalescing. The
+        session is STREAMING meanwhile: a pause, seek or close before the
+        boundary acts exactly as it would on a joined session.
+        """
         quantum = self.join_quantum
+        if quantum <= 0.0:
+            return None
         now = self.simulator.now
         boundary = math.ceil(now / quantum - 1e-9) * quantum
-        if boundary <= now + 1e-9:
-            super().play(
-                session_id, start=start, burst_factor=burst_factor,
-                burst_seconds=burst_seconds,
-            )
-            return
-
-        def deferred() -> None:
-            if self.crashed:
-                return
-            try:
-                pending = self.sessions.get(session_id)
-            except SessionError:
-                return  # closed while waiting for the boundary
-            if pending.state not in (
-                SessionState.CONNECTING,
-                SessionState.PAUSED,
-                SessionState.FINISHED,
-            ):
-                return
-            super(EdgeRelay, self).play(
-                session_id, start=start, burst_factor=burst_factor,
-                burst_seconds=burst_seconds,
-            )
-
-        self.simulator.schedule_at(boundary, deferred)
+        return boundary if boundary > now + 1e-9 else None
 
     # ------------------------------------------------------------------
     # NAK forwarding (broadcast holes the relay itself never received)
@@ -2152,26 +2125,44 @@ class EdgeRelay(MediaServer):
 # ----------------------------------------------------------------------
 
 
-def _make_cache(
+#: every backbone link the tier builders lay: origin to relays, parents
+#: to leaves, and the relay peer mesh
+BACKBONE_BANDWIDTH = 50_000_000.0
+BACKBONE_DELAY = 0.005
+
+
+def _relay_factory(
+    network: VirtualNetwork,
+    origin_url: str,
+    *,
     cache_bytes: int,
     cache_admission: bool,
-    cache_ttl_seconds: Optional[float],
     admission_seed: int,
-) -> PacketRunCache:
-    """Per-relay cache (separate machines, separate disks) — with its
-    own TinyLFU instance when admission is on, so edges' frequency
-    windows are independent."""
-    admission = None
-    if cache_admission:
-        # local import: repro.catalog sits above repro.streaming in the
-        # layer order, so the streaming module must not hard-require it
-        from ..catalog.admission import TinyLFUAdmission
-        admission = TinyLFUAdmission(seed=admission_seed)
-    return PacketRunCache(
-        max_bytes=cache_bytes,
-        admission=admission,
-        ttl_seconds=cache_ttl_seconds,
-    )
+    **relay_kwargs: Any,
+) -> Callable[..., EdgeRelay]:
+    """The one way a tier builder makes relays: ``make(host, **role)``
+    builds an :class:`EdgeRelay` from the tier-wide ``relay_kwargs``
+    plus the relay's role (name, region, parent URL, ``is_parent``,
+    ``join_quantum``). Every relay gets its own :class:`PacketRunCache`
+    (separate machines, separate disks) and, when admission is on, its
+    own TinyLFU instance, so edges' frequency windows are independent."""
+
+    def make(host: str, **role: Any) -> EdgeRelay:
+        admission = None
+        if cache_admission:
+            # local import: repro.catalog sits above repro.streaming in
+            # the layer order, so the streaming module must not
+            # hard-require it
+            from ..catalog.admission import TinyLFUAdmission
+            admission = TinyLFUAdmission(seed=admission_seed)
+        return EdgeRelay(
+            network, host,
+            origin_url=origin_url,
+            cache=PacketRunCache(max_bytes=cache_bytes, admission=admission),
+            **relay_kwargs, **role,
+        )
+
+    return make
 
 
 def build_edge_tier(
@@ -2179,24 +2170,16 @@ def build_edge_tier(
     origin: MediaServer,
     edge_hosts: Sequence[str],
     *,
-    backbone_bandwidth: float = 50_000_000.0,
-    backbone_delay: float = 0.005,
-    capacity: Optional[int] = None,
     cache_bytes: int = 64 * 1024 * 1024,
-    vnodes: int = 64,
     seed: int = 0,
     port: int = 8080,
     qos_enabled: bool = False,
     pacing_quantum: float = 0.0,
-    shared_pacing: bool = True,
     join_quantum: float = 0.0,
     fill_burst: float = 64.0,
     origin_fallback: bool = False,
     sibling_fills: bool = False,
-    backbone_budget: Optional[BackboneBudget] = None,
-    live_history_seconds: float = 0.0,
     cache_admission: bool = False,
-    cache_ttl_seconds: Optional[float] = None,
     admission_seed: int = 0,
     tracer=None,
 ) -> Tuple[EdgeDirectory, List[EdgeRelay]]:
@@ -2210,39 +2193,29 @@ def build_edge_tier(
 
     ``sibling_fills=True`` attaches the directory to every relay so
     cache misses fill from sibling edges before the origin; the default
-    keeps PR 5's flat origin-only behaviour. For regional parents and
-    live multicast use :func:`build_relay_tree`.
+    keeps PR 5's flat origin-only behaviour. For regional parents, a
+    backbone budget and live multicast use :func:`build_relay_tree`.
     """
     origin_url = f"http://{origin.host}:{origin.port}"
     directory = EdgeDirectory(
-        vnodes=vnodes, seed=seed,
-        origin_url=origin_url if origin_fallback else None,
+        seed=seed, origin_url=origin_url if origin_fallback else None,
+    )
+    make_relay = _relay_factory(
+        network, origin_url,
+        cache_bytes=cache_bytes, cache_admission=cache_admission,
+        admission_seed=admission_seed,
+        port=port, qos_enabled=qos_enabled, pacing_quantum=pacing_quantum,
+        fill_burst=fill_burst, tracer=tracer,
     )
     relays: List[EdgeRelay] = []
     for host in edge_hosts:
         network.connect(
             origin.host, host,
-            bandwidth=backbone_bandwidth, delay=backbone_delay,
+            bandwidth=BACKBONE_BANDWIDTH, delay=BACKBONE_DELAY,
         )
-        relay = EdgeRelay(
-            network, host,
-            origin_url=origin_url,
-            cache=_make_cache(
-                cache_bytes, cache_admission, cache_ttl_seconds,
-                admission_seed,
-            ),
-            port=port,
-            qos_enabled=qos_enabled,
-            pacing_quantum=pacing_quantum,
-            shared_pacing=shared_pacing,
-            join_quantum=join_quantum,
-            fill_burst=fill_burst,
-            backbone=backbone_budget,
-            live_history_seconds=live_history_seconds,
-            tracer=tracer,
-        )
+        relay = make_relay(host, join_quantum=join_quantum)
         relays.append(relay)
-        directory.add_edge(relay.name, relay=relay, capacity=capacity)
+        directory.add_edge(relay.name, relay=relay)
     if sibling_fills:
         for relay in relays:
             relay.attach_directory(directory)
@@ -2252,7 +2225,7 @@ def build_edge_tier(
         for b in relays[i + 1:]:
             network.connect(
                 a.host, b.host,
-                bandwidth=backbone_bandwidth, delay=backbone_delay,
+                bandwidth=BACKBONE_BANDWIDTH, delay=BACKBONE_DELAY,
             )
     return directory, relays
 
@@ -2262,24 +2235,15 @@ def build_relay_tree(
     origin: MediaServer,
     regions: Dict[str, Sequence[str]],
     *,
-    backbone_bandwidth: float = 50_000_000.0,
-    backbone_delay: float = 0.005,
-    capacity: Optional[int] = None,
     cache_bytes: int = 64 * 1024 * 1024,
-    vnodes: int = 64,
     seed: int = 0,
     port: int = 8080,
-    qos_enabled: bool = False,
     pacing_quantum: float = 0.0,
-    shared_pacing: bool = True,
     join_quantum: float = 0.0,
     fill_burst: float = 64.0,
-    fill_hop_limit: int = 3,
     live_history_seconds: float = 30.0,
     backbone_budget: Optional[BackboneBudget] = None,
-    origin_fallback: bool = False,
     cache_admission: bool = False,
-    cache_ttl_seconds: Optional[float] = None,
     admission_seed: int = 0,
     tracer=None,
 ) -> Tuple[EdgeDirectory, Dict[str, EdgeRelay], List[EdgeRelay]]:
@@ -2295,10 +2259,14 @@ def build_relay_tree(
 
     Returns ``(directory, {region: parent relay}, leaf relays)``.
     """
-    origin_url = f"http://{origin.host}:{origin.port}"
-    directory = EdgeDirectory(
-        vnodes=vnodes, seed=seed,
-        origin_url=origin_url if origin_fallback else None,
+    directory = EdgeDirectory(seed=seed)
+    make_relay = _relay_factory(
+        network, f"http://{origin.host}:{origin.port}",
+        cache_bytes=cache_bytes, cache_admission=cache_admission,
+        admission_seed=admission_seed,
+        port=port, pacing_quantum=pacing_quantum, fill_burst=fill_burst,
+        backbone=backbone_budget, live_history_seconds=live_history_seconds,
+        tracer=tracer,
     )
     parents: Dict[str, EdgeRelay] = {}
     leaves: List[EdgeRelay] = []
@@ -2311,31 +2279,15 @@ def build_relay_tree(
             return
         connected.add(pair)
         network.connect(
-            a, b, bandwidth=backbone_bandwidth, delay=backbone_delay
+            a, b, bandwidth=BACKBONE_BANDWIDTH, delay=BACKBONE_DELAY
         )
 
     for region in sorted(regions):
         parent_host = f"{region}-parent"
         connect(origin.host, parent_host)
-        parent = EdgeRelay(
-            network, parent_host,
-            origin_url=origin_url,
-            name=f"parent-{region}",
-            cache=_make_cache(
-                cache_bytes, cache_admission, cache_ttl_seconds,
-                admission_seed,
-            ),
-            port=port,
-            qos_enabled=qos_enabled,
-            pacing_quantum=pacing_quantum,
-            shared_pacing=shared_pacing,
-            fill_burst=fill_burst,
-            region=region,
+        parent = make_relay(
+            parent_host, name=f"parent-{region}", region=region,
             is_parent=True,
-            backbone=backbone_budget,
-            fill_hop_limit=fill_hop_limit,
-            live_history_seconds=live_history_seconds,
-            tracer=tracer,
         )
         parents[region] = parent
         all_relays.append(parent)
@@ -2344,31 +2296,13 @@ def build_relay_tree(
         for host in regions[region]:
             connect(origin.host, host)
             connect(parent_host, host)
-            relay = EdgeRelay(
-                network, host,
-                origin_url=origin_url,
-                cache=_make_cache(
-                    cache_bytes, cache_admission, cache_ttl_seconds,
-                    admission_seed,
-                ),
-                port=port,
-                qos_enabled=qos_enabled,
-                pacing_quantum=pacing_quantum,
-                shared_pacing=shared_pacing,
+            relay = make_relay(
+                host, region=region, parent_url=parent_url,
                 join_quantum=join_quantum,
-                fill_burst=fill_burst,
-                region=region,
-                parent_url=parent_url,
-                backbone=backbone_budget,
-                fill_hop_limit=fill_hop_limit,
-                live_history_seconds=live_history_seconds,
-                tracer=tracer,
             )
             leaves.append(relay)
             all_relays.append(relay)
-            directory.add_edge(
-                relay.name, relay=relay, capacity=capacity, region=region
-            )
+            directory.add_edge(relay.name, relay=relay, region=region)
     for relay in all_relays:
         relay.attach_directory(directory)
     # peer mesh: sibling fills and drain adopts run edge-to-edge

@@ -49,6 +49,23 @@ class PublishError(Exception):
     """Publishing-point misuse."""
 
 
+def thin_packet(
+    packet: DataPacket, excluded: frozenset
+) -> Optional[Tuple[DataPacket, int]]:
+    """``(packet, wire size)`` with the payloads of the ``excluded``
+    streams (withheld MBR renditions) dropped, or None when the whole
+    packet belongs to them."""
+    if not excluded:
+        return packet, packet.packet_size
+    kept = [p for p in packet.payloads if p.stream_number not in excluded]
+    if not kept:
+        return None
+    thin = DataPacket(
+        packet.sequence, packet.send_time_ms, kept, packet.packet_size
+    )
+    return thin, thin.used()  # thinned: padding stripped
+
+
 class _PointSchedule:
     """The shared packet walk of one on-demand publishing point.
 
@@ -85,28 +102,18 @@ class _PointSchedule:
     def entry(
         self, index: int, excluded: frozenset
     ) -> Optional[Tuple[DataPacket, int]]:
-        """``(packet, wire size)`` to ship at ``index``, or None if the
-        whole packet belongs to withheld renditions."""
-        packet = self.packets[index]
+        """Memoized :func:`thin_packet` of the packet at ``index``."""
         if not excluded:
+            packet = self.packets[index]
             return packet, packet.packet_size
         key = (index, excluded)
         try:
             return self._thinned[key]
         except KeyError:
-            pass
-        kept = [
-            p for p in packet.payloads if p.stream_number not in excluded
-        ]
-        if not kept:
-            result: Optional[Tuple[DataPacket, int]] = None
-        else:
-            thin = DataPacket(
-                packet.sequence, packet.send_time_ms, kept, packet.packet_size
+            result = self._thinned[key] = thin_packet(
+                self.packets[index], excluded
             )
-            result = (thin, thin.used())  # thinned: padding stripped
-        self._thinned[key] = result
-        return result
+            return result
 
 
 class _PacingGroup:
@@ -181,9 +188,7 @@ class MediaServer:
     schedule whose send times fall within one window into a single packet
     train — one pacing event and one wire message per session per train.
     ``0.0`` (the default) paces packet-by-packet, exactly like a private
-    walk. ``shared_pacing=False`` disables the shared-schedule fast path
-    entirely and gives every session its own event chain — the seed
-    behaviour, kept as the baseline for the serving-scale benchmark.
+    walk.
     """
 
     def __init__(
@@ -194,7 +199,6 @@ class MediaServer:
         port: int = 8080,
         qos_enabled: bool = False,
         pacing_quantum: float = 0.0,
-        shared_pacing: bool = True,
         tracer=None,
         trace_label: str = "",
     ) -> None:
@@ -213,7 +217,6 @@ class MediaServer:
         self.sessions = SessionTable(tracer=tracer, label=trace_label)
         self.qos_enabled = qos_enabled
         self.pacing_quantum = pacing_quantum
-        self.shared_pacing = shared_pacing
         self._qos: Dict[str, QoSManager] = {}
         self._schedules: Dict[str, _PointSchedule] = {}
         self._groups: Dict[tuple, _PacingGroup] = {}
@@ -437,7 +440,7 @@ class MediaServer:
             window = point.header.file_properties.preroll_ms / 1000.0
         session.burst_factor = burst_factor
         session.burst_window_ms = window * 1000.0
-        self._start_pacing(session)
+        self._start_pacing(session, self._play_join_time())
 
     def adopt_session(
         self,
@@ -605,9 +608,13 @@ class MediaServer:
         except SessionError:
             self.recovery_stats.inc("naks_stale_session")
             return
-        if not session.active and session.state is not SessionState.FINISHED:
+        if session.pacing_handle is not None or (
+            not session.active and session.state is not SessionState.FINISHED
+        ):
             # FINISHED sessions still repair: an edge replica that took its
-            # whole fill in one burst NAKs the holes *after* delivery ends
+            # whole fill in one burst NAKs the holes *after* delivery ends.
+            # A session awaiting its deferred join has been sent nothing:
+            # the join sends every packet, so a repair would duplicate it
             self.recovery_stats.inc("naks_stale_session")
             return
         point = self.points.get(session.point)
@@ -642,7 +649,7 @@ class MediaServer:
             packet = self._live_packet(point, sequence)
             if packet is None:
                 return None
-            return self._thin_for(session, packet)
+            return thin_packet(packet, session.excluded_streams)
         sched = self._schedules.get(point.name)
         if sched is None:
             return None
@@ -730,60 +737,32 @@ class MediaServer:
         return len(asf.packets)
 
     def _stop_session_pacing(self, session: StreamSession) -> None:
-        """Detach a session from whatever is pacing it (group or private)."""
+        """Detach a session from its pacing group or cancel its pending
+        join."""
         if session.pacing_handle is not None:
             self.simulator.cancel(session.pacing_handle)
             session.pacing_handle = None
         self._leave_group(session)
 
-    def _start_pacing(self, session: StreamSession) -> None:
-        """Anchor pacing at 'now'; packets go out at their relative send times."""
-        if self.shared_pacing:
+    def _start_pacing(
+        self, session: StreamSession, at: Optional[float] = None
+    ) -> None:
+        """Join the pacing group walking the session's point from its
+        cursor — now, or at the later simulated time ``at``. A deferred
+        join waits in ``session.pacing_handle``, so a pause, seek or
+        close before ``at`` cancels it."""
+        if at is None:
             self._join_group(session)
-            return
-        # legacy per-session packet walk (bench baseline): every session
-        # runs its own event chain over the point's packets
-        point = self._point(session.point)
-        asf: ASFFile = point.content
-        session._pace_origin = self.simulator.now  # type: ignore[attr-defined]
-        if session.packet_cursor < len(asf.packets):
-            session._pace_base = asf.packets[  # type: ignore[attr-defined]
-                session.packet_cursor
-            ].send_time_ms
         else:
-            session._pace_base = 0  # type: ignore[attr-defined]
-        self._schedule_next_packet(session)
+            session.pacing_handle = self.simulator.schedule_at(
+                at, functools.partial(self._join_group, session)
+            )
 
-    def _schedule_next_packet(self, session: StreamSession) -> None:
-        point = self._point(session.point)
-        asf: ASFFile = point.content
-        if session.packet_cursor >= len(asf.packets):
-            if session.state is SessionState.STREAMING:
-                session.transition(SessionState.FINISHED)
-            return
-        packet = asf.packets[session.packet_cursor]
-        offset_ms = packet.send_time_ms - session._pace_base  # type: ignore[attr-defined]
-        burst = session.burst_factor
-        window = session.burst_window_ms
-        if burst > 1.0:
-            if offset_ms <= window:
-                offset_ms = offset_ms / burst
-            else:
-                offset_ms = window / burst + (offset_ms - window)
-        offset = offset_ms / 1000.0
-
-        def send() -> None:
-            session.pacing_handle = None
-            if session.state is not SessionState.STREAMING:
-                return
-            self._transmit(session, packet)
-            session.packet_cursor += 1
-            self._schedule_next_packet(session)
-
-        at = session._pace_origin + max(0.0, offset)  # type: ignore[attr-defined]
-        session.pacing_handle = self.simulator.schedule_at(
-            max(at, self.simulator.now), send
-        )
+    def _play_join_time(self) -> Optional[float]:
+        """When a session started by :meth:`play` joins its pacing
+        group: None for at once. Edge relays defer to their next join
+        quantum boundary."""
+        return None
 
     # ------------------------------------------------------------------
     # shared-schedule pacing (encode once, serve many)
@@ -792,6 +771,7 @@ class MediaServer:
     def _join_group(self, session: StreamSession) -> None:
         """Attach a session to the pacing group walking its point from the
         same cursor at this instant — creating the group if none exists."""
+        session.pacing_handle = None
         sched = self._schedules[session.point]
         burst = session.burst_factor
         window = session.burst_window_ms
@@ -811,7 +791,7 @@ class MediaServer:
         group.members[session.session_id] = session
         session.pacing_group = group
         if group.handle is None:
-            self._schedule_group(group)
+            self._schedule_next_packet(group)
 
     def _leave_group(self, session: StreamSession) -> None:
         group = session.pacing_group
@@ -826,7 +806,7 @@ class MediaServer:
                 group.handle = None
             self._groups.pop(group.key, None)
 
-    def _schedule_group(self, group: _PacingGroup) -> None:
+    def _schedule_next_packet(self, group: _PacingGroup) -> None:
         sched = self._schedules.get(group.point)
         if sched is None or group.cursor >= len(sched.packets):
             self._finish_group(group)
@@ -894,7 +874,7 @@ class MediaServer:
         if group.cursor >= len(packets):
             self._finish_group(group)
         else:
-            self._schedule_group(group)
+            self._schedule_next_packet(group)
 
     def _finish_group(self, group: _PacingGroup) -> None:
         self._groups.pop(group.key, None)
@@ -993,26 +973,8 @@ class MediaServer:
         session.bytes_sent += wire_size
         self.bytes_served += wire_size
 
-    def _thin_for(
-        self, session: StreamSession, packet: DataPacket
-    ) -> Optional[Tuple[DataPacket, int]]:
-        """Per-session view of one packet (MBR thinning), or None when the
-        whole packet belongs to withheld renditions."""
-        if not session.excluded_streams:
-            return packet, packet.packet_size
-        kept = [
-            p for p in packet.payloads
-            if p.stream_number not in session.excluded_streams
-        ]
-        if not kept:
-            return None
-        thin = DataPacket(
-            packet.sequence, packet.send_time_ms, kept, packet.packet_size
-        )
-        return thin, thin.used()  # thinned: padding stripped
-
     def _transmit(self, session: StreamSession, packet: DataPacket) -> None:
-        entry = self._thin_for(session, packet)
+        entry = thin_packet(packet, session.excluded_streams)
         if entry is None:
             return
         self._send_train(session, [entry[0]], entry[1])

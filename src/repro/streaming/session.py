@@ -58,6 +58,8 @@ class StreamSession:
     reservation: Optional[Reservation] = None
     packets_sent: int = 0
     bytes_sent: int = 0
+    #: a pacing-group join scheduled for later (an edge's join quantum);
+    #: stopping the session's pacing cancels it
     pacing_handle: Optional[object] = None
     #: shared-schedule pacing group this session currently rides (server-owned)
     pacing_group: Optional[object] = None

@@ -76,7 +76,7 @@ def make_world(asf, hosts, tracer):
     tracer.bind_clock(net.simulator)
     origin = MediaServer(
         net, "origin", port=8080,
-        shared_pacing=True, pacing_quantum=0.5, tracer=tracer,
+        pacing_quantum=0.5, tracer=tracer,
     )
     origin.publish("lecture", asf)
     _, relays = build_edge_tier(

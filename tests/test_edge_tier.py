@@ -295,6 +295,36 @@ class TestJoinQuantum:
         edge.play(session.session_id)
         assert session.pacing_group is not None  # no deferral
 
+    def test_control_inside_the_join_window_matches_zero_quantum(self):
+        """A pause, seek or close between play() and the join boundary
+        acts as it does at join_quantum=0: no 409 on pause, no seek
+        overwritten by the deferred start, nothing sent after a close."""
+
+        def delivered(join_quantum, action):
+            net, origin, _, (edge,) = make_world(join_quantum=join_quantum)
+            edge.prefetch("lecture")
+            sink = []
+            session = edge.open_session("lecture", "c0", sink.append)
+            edge.play(session.session_id)
+            deferred = session.pacing_group is None
+            sid = session.session_id
+            if action == "pause":
+                edge.pause(sid)
+                net.simulator.run_until(net.simulator.now + 3.0)
+                assert sink == []
+                edge.resume(sid)
+            elif action == "seek":
+                edge.seek(sid, DURATION / 2)
+            else:
+                edge.close_session(sid)
+            net.simulator.run(max_events=1_000_000)
+            return deferred, [p.sequence for p in sink]
+
+        for action in ("pause", "seek", "close"):
+            deferred, got = delivered(0.5, action)
+            assert deferred  # the calls really landed inside the window
+            assert (False, got) == delivered(0.0, action)
+
 
 class TestPassthrough:
     def test_player_watches_through_the_edge(self):

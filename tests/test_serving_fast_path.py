@@ -3,17 +3,19 @@
 Covers the shared-schedule pacing groups (sessions started together ride
 one event chain), their pause/seek/close detachment semantics, the
 event-driven broadcast fan-out (an idle live point schedules nothing),
-and — the load-bearing property — that the fast path delivers packets
-byte-identical to the legacy per-session walk.
+and — the load-bearing property — that the shared path delivers exactly
+the stored file's own packets, MBR-thinned per client.
 """
 
 import pytest
 
 from repro.asf import ASFEncoder, EncoderConfig, slide_commands
 from repro.asf.header import StreamProperties
+from repro.asf.packets import DataPacket
 from repro.media import AudioObject, ImageObject, VideoObject, get_profile
 from repro.streaming import MediaServer, PublishError, SessionState
 from repro.web import VirtualNetwork
+from tests.test_edge_tier import mbr_asf
 
 PROFILE = get_profile("dsl-256k")
 
@@ -84,19 +86,11 @@ class TestPacingGroups:
             assert all(len(s) == len(sinks[0]) for s in sinks)
             return net.simulator.events_processed
 
-        def legacy_events_for(count):
-            net, server = make_server(
-                asf, [f"c{i}" for i in range(count)], shared_pacing=False
-            )
-            for i in range(count):
-                open_and_play(server, f"c{i}", [])
-            net.simulator.run()
-            return net.simulator.events_processed
-
         one, eight = events_for(1), events_for(8)
         # link events scale with viewers; pacing events must not — so the
-        # shared walk stays far below the legacy per-session event chains
-        assert eight < legacy_events_for(8) * 0.5
+        # shared walk stays far below what a private walk per session
+        # costs: one pacing event plus two link events per packet each
+        assert eight < 8 * 3 * len(asf.packets) * 0.5
         assert eight < one * 8
 
     def test_pause_detaches_without_stopping_others(self):
@@ -167,43 +161,54 @@ class TestPacingGroups:
             MediaServer(net, "server", pacing_quantum=-0.1)
 
 
+def file_bytes(asf, excluded=frozenset()):
+    """The stored file's packets with the ``excluded`` streams' payloads
+    filtered out: what a private per-session walk ships to one client."""
+    blob = b""
+    for packet in asf.packets:
+        kept = [p for p in packet.payloads if p.stream_number not in excluded]
+        if kept:
+            blob += DataPacket(
+                packet.sequence, packet.send_time_ms, kept, packet.packet_size
+            ).pack()
+    return blob
+
+
 class TestByteIdentity:
-    @pytest.mark.parametrize("quantum", [0.0, 0.5])
-    def test_fast_path_matches_legacy_bytes(self, quantum):
-        """Same content, same wire bytes — fan-out sharing is invisible."""
-        asf = make_asf()
-
-        def delivered(**kwargs):
-            net, server = make_server(asf, ["c1", "c2"], **kwargs)
-            sinks = {name: [] for name in ("c1", "c2")}
-            for name in sinks:
-                open_and_play(server, name, sinks[name])
-            net.simulator.run()
-            return {
-                name: b"".join(p.pack() for p in packets)
-                for name, packets in sinks.items()
-            }
-
-        legacy = delivered(shared_pacing=False)
-        fast = delivered(shared_pacing=True, pacing_quantum=quantum)
-        assert fast == legacy
+    @pytest.mark.parametrize("quantum, lecture", [
+        pytest.param(0.0, make_asf, id="0.0"),
+        pytest.param(0.5, make_asf, id="0.5"),
+        pytest.param(0.5, mbr_asf, id="mbr"),
+    ])
+    def test_fast_path_matches_legacy_bytes(self, quantum, lecture):
+        """Same content, same wire bytes — fan-out sharing is invisible:
+        every client gets the file's own packets, less the renditions
+        withheld from it."""
+        asf = lecture()
+        net, server = make_server(asf, ["c1", "c2"], pacing_quantum=quantum)
+        sinks = {name: [] for name in ("c1", "c2")}
+        sessions = {
+            name: open_and_play(server, name, sink)
+            for name, sink in sinks.items()
+        }
+        net.simulator.run()
+        for name, packets in sinks.items():
+            excluded = sessions[name].excluded_streams
+            assert bool(excluded) == bool(asf.header.mbr_group("video"))
+            assert b"".join(p.pack() for p in packets) == file_bytes(
+                asf, excluded
+            )
 
     def test_fast_path_matches_legacy_with_burst(self):
         asf = make_asf()
-
-        def delivered(**kwargs):
-            net, server = make_server(asf, ["c1"], **kwargs)
-            got = []
-            session = server.open_session("lecture", "c1", got.append)
-            server.play(session.session_id, burst_factor=3.0,
-                        burst_seconds=2.0)
-            net.simulator.run()
-            return [(p.sequence, p.pack()) for p in got]
-
-        assert (
-            delivered(shared_pacing=True)
-            == delivered(shared_pacing=False)
-        )
+        net, server = make_server(asf, ["c1"])
+        got = []
+        session = server.open_session("lecture", "c1", got.append)
+        server.play(session.session_id, burst_factor=3.0, burst_seconds=2.0)
+        net.simulator.run()
+        assert [(p.sequence, p.pack()) for p in got] == [
+            (p.sequence, p.pack()) for p in asf.packets
+        ]
 
 
 class TestEventDrivenBroadcast:
