@@ -87,6 +87,10 @@ class Payload:
         return PAYLOAD_HEADER_SIZE + len(self.data)
 
 
+#: one payload's shared decode: (stream, object, payload, unit or None)
+_Decoded = Tuple[int, int, Payload, Optional["MediaUnit"]]
+
+
 @dataclass
 class DataPacket:
     """One fixed-size packet: sequence number, send time, payloads.
@@ -95,6 +99,11 @@ class DataPacket:
     header fields and payload list settle (after packetization / live
     rebasing) the serialized form never changes — the server can ship the
     same ``bytes`` object to any number of clients without re-packing.
+
+    :meth:`decoded` memoizes the receive side the same way: every
+    :class:`Depacketizer` fed this packet object reads one shared decode
+    and hands out the same immutable :class:`MediaUnit` objects, so a
+    packet run played by many receivers is decoded once.
     """
 
     sequence: int
@@ -105,6 +114,17 @@ class DataPacket:
         default=None, init=False, repr=False, compare=False
     )
     _wire_key: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _decode: Optional[Tuple["_Decoded", ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _decode_of: Optional[Tuple[Payload, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: (stream, object) -> (completing payload, fragments, unit) for the
+    #: multi-fragment objects a receiver completed on this packet
+    _joined: Optional[Dict[Tuple[int, int], tuple]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -147,6 +167,77 @@ class DataPacket:
         self._wire = wire
         self._wire_key = key
         return wire
+
+    def decoded(self) -> Tuple["_Decoded", ...]:
+        """Per payload ``(stream, object, payload, unit)``; ``unit`` is the
+        ready-made :class:`MediaUnit` of a complete-object payload, None
+        for a fragment.
+
+        Built on first use and kept until the payload list changes (the
+        key compares payloads, not the header, so a live packet rebased
+        after decode keeps its decode). Receivers share the result."""
+        payloads = tuple(self.payloads)
+        if self._decode is not None and self._decode_of == payloads:
+            return self._decode
+        decode = tuple(
+            (
+                p.stream_number,
+                p.object_number,
+                p,
+                MediaUnit(
+                    p.stream_number,
+                    p.object_number,
+                    p.timestamp_ms,
+                    p.keyframe,
+                    p.data,
+                )
+                if p.is_complete_object
+                else None,
+            )
+            for p in payloads
+        )
+        self._decode = decode
+        self._decode_of = payloads
+        self._joined = None
+        return decode
+
+    def joined_unit(
+        self, payload: Payload, fragments: Dict[int, Payload]
+    ) -> "MediaUnit":
+        """The unit a receiver completes on this packet with ``payload``,
+        from ``fragments`` (offset -> payload, ``payload`` among them).
+
+        A receiver whose fragments are the very same payload objects as
+        the last join here gets that join's unit; any other fragment set
+        is joined afresh and becomes the memo."""
+        key = (payload.stream_number, payload.object_number)
+        joined = self._joined
+        if joined is None:
+            joined = self._joined = {}
+        memo = joined.get(key)
+        if memo is not None:
+            last, parts, unit = memo
+            if (
+                last is payload
+                and len(parts) == len(fragments)
+                and all(fragments.get(p.offset) is p for p in parts)
+            ):
+                return unit
+        if len(fragments) == 1:
+            data = payload.data
+        else:
+            data = b"".join(
+                fragments[offset].data for offset in sorted(fragments)
+            )
+        unit = MediaUnit(
+            payload.stream_number,
+            payload.object_number,
+            payload.timestamp_ms,
+            payload.keyframe,
+            data[: payload.object_size],
+        )
+        joined[key] = (payload, tuple(fragments.values()), unit)
+        return unit
 
     @classmethod
     def unpack_from(cls, reader: Reader) -> "DataPacket":
@@ -359,16 +450,25 @@ class Depacketizer:
     earlier packets were skipped, with the sorted list of missing
     sequences — the hook the client's NAK loop
     (:mod:`repro.streaming.recovery`) hangs off.
+
+    Units come from the packets' shared decode (:meth:`DataPacket.decoded`,
+    :meth:`DataPacket.joined_unit`), so receivers of one packet run hold
+    references to the same immutable units. Everything that depends on
+    what *this* receiver saw — duplicate and gap detection, replay
+    suppression, the loss-report sets, ``completed`` and in-flight
+    fragments — stays here.
     """
 
     def __init__(
         self, *, on_gap: Optional[Callable[[List[int]], None]] = None
     ) -> None:
+        #: in-flight objects: (stream, object) -> {offset: payload}
         self._fragments: Dict[Tuple[int, int], Dict[int, Payload]] = {}
-        self._meta: Dict[Tuple[int, int], Payload] = {}
         #: running reassembled byte count per in-flight object
         self._have: Dict[Tuple[int, int], int] = {}
         self.completed: List[MediaUnit] = []
+        #: per stream, object numbers seen as fragments; complete objects
+        #: are recorded in ``_completed_objects`` only (loss_report unions)
         self._seen_objects: Dict[int, set] = {}
         self._completed_objects: Dict[int, set] = {}
         self._seen_sequences: set = set()
@@ -376,6 +476,28 @@ class Depacketizer:
         self._suppress_completed = False
         self.suppressed_duplicates = 0
         self.on_gap = on_gap
+
+    def fork(self) -> "Depacketizer":
+        """An independent copy of this receiver's state: the containers are
+        copied, the immutable units and payloads in them are shared.
+        ``on_gap`` is left unset — it belongs to the original's owner."""
+        twin = Depacketizer()
+        twin._fragments = {
+            key: dict(bucket) for key, bucket in self._fragments.items()
+        }
+        twin._have = dict(self._have)
+        twin.completed = list(self.completed)
+        twin._seen_objects = {
+            s: set(numbers) for s, numbers in self._seen_objects.items()
+        }
+        twin._completed_objects = {
+            s: set(numbers) for s, numbers in self._completed_objects.items()
+        }
+        twin._seen_sequences = set(self._seen_sequences)
+        twin._max_sequence = self._max_sequence
+        twin._suppress_completed = self._suppress_completed
+        twin.suppressed_duplicates = self.suppressed_duplicates
+        return twin
 
     def expect_replay(self, *, suppress_completed: bool = False) -> None:
         """The source will intentionally re-send earlier packets (a seek):
@@ -412,68 +534,51 @@ class Depacketizer:
             self._max_sequence = packet.sequence
         finished: List[MediaUnit] = []
         fragments = self._fragments
-        for payload in packet.payloads:
-            stream = payload.stream_number
-            key = (stream, payload.object_number)
-            if (
-                self._suppress_completed
-                and payload.object_number
-                in self._completed_objects.get(stream, ())
-            ):
+        completed_objects = self._completed_objects
+        for stream, number, payload, unit in packet.decoded():
+            done = completed_objects.get(stream)
+            if self._suppress_completed and done is not None and number in done:
                 self.suppressed_duplicates += 1
                 continue
-            self._seen_objects.setdefault(stream, set()).add(
-                payload.object_number
-            )
-            if payload.is_complete_object and key not in fragments:
-                # the common case — an unfragmented object in one payload:
-                # its data IS the unit, no bucket, no re-sum, no join
-                unit = MediaUnit(
-                    stream,
-                    payload.object_number,
-                    payload.timestamp_ms,
-                    payload.keyframe,
-                    payload.data,
-                )
-                finished.append(unit)
-                self.completed.append(unit)
-                self._completed_objects.setdefault(stream, set()).add(
-                    payload.object_number
-                )
-                continue
-            bucket = fragments.setdefault(key, {})
-            old = bucket.get(payload.offset)
-            bucket[payload.offset] = payload
-            self._meta[key] = payload
-            # running byte count per object instead of re-summing the
-            # whole bucket on every fragment (quadratic on large objects)
-            have = self._have.get(key, 0) + len(payload.data)
-            if old is not None:
-                have -= len(old.data)
-            self._have[key] = have
-            if have >= payload.object_size:
-                if len(bucket) == 1:
-                    data = payload.data
-                else:
-                    data = b"".join(
-                        bucket[offset].data for offset in sorted(bucket)
-                    )
-                unit = MediaUnit(
-                    stream,
-                    payload.object_number,
-                    payload.timestamp_ms,
-                    payload.keyframe,
-                    data[: payload.object_size],
-                )
-                finished.append(unit)
-                self.completed.append(unit)
-                self._completed_objects.setdefault(stream, set()).add(
-                    payload.object_number
-                )
-                del fragments[key]
-                del self._meta[key]
-                del self._have[key]
+            if unit is None or (stream, number) in fragments:
+                unit = self._reassemble(packet, payload)
+                if unit is None:
+                    continue
+            finished.append(unit)
+            self.completed.append(unit)
+            if done is None:
+                done = completed_objects[stream] = set()
+                # keeps loss_report's stream order that of first arrival
+                self._seen_objects.setdefault(stream, set())
+            done.add(number)
         return finished
+
+    def _reassemble(
+        self, packet: DataPacket, payload: Payload
+    ) -> Optional[MediaUnit]:
+        """File one fragment; the object's unit once every byte is in."""
+        stream = payload.stream_number
+        key = (stream, payload.object_number)
+        seen = self._seen_objects.get(stream)
+        if seen is None:
+            seen = self._seen_objects[stream] = set()
+        seen.add(payload.object_number)
+        bucket = self._fragments.get(key)
+        if bucket is None:
+            bucket = self._fragments[key] = {}
+        old = bucket.get(payload.offset)
+        bucket[payload.offset] = payload
+        # running byte count per object instead of re-summing the
+        # whole bucket on every fragment (quadratic on large objects)
+        have = self._have.get(key, 0) + len(payload.data)
+        if old is not None:
+            have -= len(old.data)
+        if have < payload.object_size:
+            self._have[key] = have
+            return None
+        del self._fragments[key]
+        self._have.pop(key, None)
+        return packet.joined_unit(payload, bucket)
 
     def units_for(self, stream_number: int) -> List[MediaUnit]:
         return [

@@ -1037,13 +1037,9 @@ class MediaPlayer:
         twin.selected_video = self.selected_video
         twin._pending_streams = set(self._pending_streams)
         # client-side playback state: cloned, not re-derived — the member's
-        # history *is* the delegate's. on_gap is a bound method back into
-        # this player; detach it around the deepcopy so the clone doesn't
-        # drag the whole player (network, simulator...) along
-        saved_gap = self._depacketizer.on_gap
-        self._depacketizer.on_gap = None
-        twin._depacketizer = copy.deepcopy(self._depacketizer)
-        self._depacketizer.on_gap = saved_gap
+        # history *is* the delegate's. The fork shares the decoded units
+        # and leaves on_gap (a bound method back into this player) unset
+        twin._depacketizer = self._depacketizer.fork()
         twin._buffer = copy.deepcopy(self._buffer)
         twin._clock = copy.deepcopy(self._clock)
         assert self.header is not None

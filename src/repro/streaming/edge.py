@@ -51,6 +51,7 @@ through the directory to a surviving edge.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import itertools
@@ -401,6 +402,7 @@ class EdgeDirectory:
         self.origin_url = origin_url.rstrip("/") if origin_url else None
         self._edges: Dict[str, _EdgeEntry] = {}
         self._ring: List[Tuple[int, str]] = []  # (hash, edge name), sorted
+        self._ring_edges = 0  # distinct edge names on the ring
         self._parents: Dict[str, str] = {}  # region -> parent entry name
         self._holders: Dict[str, Set[str]] = {}  # point -> edge names
 
@@ -427,6 +429,7 @@ class EdgeDirectory:
         for v in range(self.vnodes):
             self._ring.append((self._hash(f"{name}#{v}"), name))
         self._ring.sort()
+        self._ring_edges += 1
 
     def add_parent(
         self,
@@ -461,7 +464,10 @@ class EdgeDirectory:
         if name not in self._edges:
             raise PlacementError(f"no edge {name!r}")
         del self._edges[name]
-        self._ring = [(h, n) for h, n in self._ring if n != name]
+        ring = [(h, n) for h, n in self._ring if n != name]
+        if len(ring) < len(self._ring):  # parents are not on the ring
+            self._ring_edges -= 1
+        self._ring = ring
         for point in list(self._holders):
             self.forget_fill(name, point)
         for region, parent in list(self._parents.items()):
@@ -624,26 +630,20 @@ class EdgeDirectory:
         The first entry is the primary placement; the rest is the
         deterministic overflow order when primaries refuse admission.
         """
-        if not self._ring:
+        ring = self._ring
+        if not ring:
             return []
-        h = self._hash(key)
-        lo, hi = 0, len(self._ring)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._ring[mid][0] < h:
-                lo = mid + 1
-            else:
-                hi = mid
-        ring_names = {n for _, n in self._ring}
+        # (h,) sorts before every (h, name): the first vnode at or past h
+        lo = bisect.bisect_left(ring, (self._hash(key),))
         order: List[str] = []
         seen: Set[str] = set()
-        for i in range(len(self._ring)):
-            name = self._ring[(lo + i) % len(self._ring)][1]
+        for i in range(len(ring)):
+            name = ring[(lo + i) % len(ring)][1]
             if name not in seen:
                 seen.add(name)
                 order.append(name)
-            if len(seen) == len(ring_names):
-                break
+                if len(order) == self._ring_edges:
+                    break
         return order
 
     def place(self, key: str) -> str:

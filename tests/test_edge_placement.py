@@ -13,6 +13,8 @@ tier relies on:
   fallback URL was configured.
 """
 
+import random
+
 import pytest
 
 from repro.streaming import EdgeDirectory, PlacementError
@@ -112,6 +114,48 @@ class TestAdmission:
         directory = build()
         order = directory.spill_order(KEYS[0])
         assert sorted(order) == sorted(EDGES)
+
+    def test_spill_order_matches_brute_force_ring_walk(self):
+        """Across adds and removes (parents included, which are never on
+        the ring), every key's order is the plain walk over all vnodes."""
+
+        def walk(directory, members, key):
+            ring = sorted(
+                (directory._hash(f"{name}#{v}"), name)
+                for name in members
+                for v in range(directory.vnodes)
+            )
+            h = directory._hash(key)
+            start = next(
+                (i for i, (vh, _) in enumerate(ring) if vh >= h), len(ring)
+            )
+            order = []
+            for i in range(len(ring)):
+                name = ring[(start + i) % len(ring)][1]
+                if name not in order:
+                    order.append(name)
+            return order
+
+        rng = random.Random(3)
+        directory = EdgeDirectory(vnodes=8, seed=5)
+        members = []
+        directory.add_parent("r0", url="http://parent:8080")
+        for step in range(40):
+            if members and rng.random() < 0.4:
+                gone = rng.choice(members)
+                members.remove(gone)
+                directory.remove_edge(gone)
+            else:
+                name = f"e{step}"
+                members.append(name)
+                directory.add_edge(name, url=f"http://{name}:8080")
+            if step == 20:
+                directory.remove_edge("parent-r0")
+            for _ in range(10):
+                key = f"c{rng.randrange(10**6)}|lecture"
+                assert directory.spill_order(key) == walk(
+                    directory, members, key
+                )
 
     def test_exhausted_ring_raises(self):
         directory = build(["edge0", "edge1"])
